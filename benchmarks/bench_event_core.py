@@ -36,14 +36,13 @@ part shed tracing machinery, part batching.
 
 Also measures end-to-end wall clock of the full scenario under both
 engines (``run_speedup``), verifies their artifacts pickle byte-identical
-(``parity``), times fused block dispatch vs per-cell dispatch over a
-process pool on cheap cells (``fused``), and measures the plan-evaluator
-inner loop of the schedule×partition search (``plan_eval``): prebuilt
-compiled plans replayed through :class:`~repro.sim.plan.PlanEvaluator`
-vs the fused ``simulate_many`` executor path on the same candidate
-cells.  Every ``*_speedup`` ratio is a best-of-rounds ratio (minimum
-elapsed per variant), never a mean — a single slow round on a noisy
-runner must not fail the CI band.
+(``parity``), and measures the plan-evaluator inner loop of the
+schedule×partition search (``plan_eval``): prebuilt compiled plans
+replayed through :class:`~repro.sim.plan.PlanEvaluator` vs planning and
+running the same candidate cells on ``RuntimeEngine`` directly.  Every
+``*_speedup`` ratio is a best-of-rounds ratio (minimum elapsed per
+variant), never a mean — a single slow round on a noisy runner must not
+fail the CI band.
 
 Runs under pytest (``pytest benchmarks/bench_event_core.py``) and as a
 plain script; ``bench_pipeline_perf.py`` embeds the same record as its
@@ -78,7 +77,7 @@ ITERATIONS = 79
 #: round runs untimed
 ROUNDS = 10
 
-#: rounds for the heavier end-to-end / fused / plan-eval sections; their
+#: rounds for the heavier end-to-end / plan-eval sections; their
 #: ``*_speedup`` ratios are best-of (minimum elapsed per variant), with
 #: engine rounds interleaved so frequency drift hits both sides alike
 RUN_ROUNDS = 5
@@ -96,14 +95,14 @@ TRACED_BATCH_FLOOR = 3.0
 #: fast (best-of-rounds) as under the oracle
 RUN_SPEEDUP_FLOOR = 1.0
 
-#: acceptance floor: compiled-plan evaluation vs the fused
-#: ``simulate_many`` executor path on the same candidate cells — the
-#: search engine's reason to exist
+#: acceptance floor: compiled-plan evaluation vs planning and running
+#: the same candidate cells on ``RuntimeEngine`` — the search engine's
+#: reason to exist
 PLAN_EVAL_FLOOR = 10.0
 
 #: acceptance floor: compiled-plan evaluation of *per-iteration-sync*
 #: plans (the wave drain's territory — every epoch fenced by a barrier,
-#: so the terminal drain never fires) vs the fused executor path
+#: so the terminal drain never fires) vs the executor path
 WAVE_DRAIN_FLOOR = 5.0
 
 #: metrics ``--check-baseline`` verifies, all same-process ratios: raw
@@ -361,56 +360,36 @@ def measure_run_parity() -> dict:
     }, fast_art
 
 
-#: fused-dispatch measurement: many cheap cells over a small pool
-FUSED_CELLS = 40
-FUSED_JOBS = 2
+def _engine_runs(cells) -> list:
+    """Plan each cell and run it on ``RuntimeEngine`` directly, in order.
 
-
-def measure_fused() -> dict:
-    """Fused block dispatch vs per-cell dispatch over a process pool.
-
-    The cells are deliberately cheap (tiny n, one iteration) so per-cell
-    pickling/dispatch overhead dominates — the regime the fused mode
-    exists for.  Results stay identical either way; only dispatch cost
-    changes.
+    The executor reference the evaluator sections time and check against:
+    program build, planning and one general event-loop simulation per
+    cell, in this process — what a cell cost before static plans ran on
+    the compiled evaluator.
     """
-    strategies = ("Only-CPU", "Only-GPU", "DP-Perf", "SP-Unified", "DP-Dep")
-    platform = shen_icpp15_platform()
-    cells = [
-        SweepCell(
-            app="STREAM-Loop", strategy=strategies[i % len(strategies)],
-            platform=platform, n=256, iterations=1, sync=False,
+    from dataclasses import replace
+
+    from repro.apps import get_application
+    from repro.partition.base import get_strategy
+    from repro.runtime.executor import RuntimeConfig, RuntimeEngine
+
+    artifacts = []
+    for cell in cells:
+        program = get_application(cell.app).program(
+            cell.n, iterations=cell.iterations, sync=cell.sync
         )
-        for i in range(FUSED_CELLS)
-    ]
-    clear_all()
-    run_sweep(cells)  # warm the parent stores both pools snapshot from
-
-    def _timed(**kwargs):
-        t0 = time.perf_counter()
-        results = run_sweep(cells, jobs=FUSED_JOBS, **kwargs)
-        return time.perf_counter() - t0, results
-
-    per_cell_s, per_cell = _timed()
-    fused_s, fused = _timed(fuse=0)
-    for _ in range(RUN_ROUNDS - 1):
-        per_cell_s = min(per_cell_s, _timed()[0])
-        fused_s = min(fused_s, _timed(fuse=0)[0])
-
-    match = all(
-        a.makespan_ms == b.makespan_ms and a.summary == b.summary
-        for a, b in zip(per_cell, fused)
-    )
-    return {
-        "cells": len(cells),
-        "jobs": FUSED_JOBS,
-        "per_cell_s": per_cell_s,
-        "fused_s": fused_s,
-        "per_cell_cells_per_sec": len(cells) / per_cell_s,
-        "fused_cells_per_sec": len(cells) / fused_s,
-        "fused_vs_per_cell_speedup": per_cell_s / fused_s,
-        "match": match,
-    }
+        plan = get_strategy(cell.strategy).plan(
+            program, cell.platform, cell.config
+        )
+        config = RuntimeConfig(cpu_threads=cell.config.threads(cell.platform))
+        if plan.runtime_overrides:
+            config = replace(config, **plan.runtime_overrides)
+        engine = RuntimeEngine(cell.platform, config=config)
+        artifacts.append(
+            engine.execute(plan.graph, plan.scheduler, detail="summary")
+        )
+    return artifacts
 
 
 #: forced-split candidate grid for the plan-eval measurement — the
@@ -420,10 +399,10 @@ PLAN_EVAL_FRACTIONS = 8
 
 
 def measure_plan_eval() -> dict:
-    """Search inner loop: prebuilt compiled plans vs fused ``simulate_many``.
+    """Search inner loop: prebuilt compiled plans vs the executor path.
 
     Builds the same forced-fraction candidate cells the search engine
-    sweeps, runs them through the fused executor path once (cells/sec),
+    sweeps, plans and runs them on ``RuntimeEngine`` once (cells/sec),
     then compiles each cell's plan once and replays it through
     :class:`~repro.sim.plan.PlanEvaluator` (plans/sec, best of
     ``RUN_ROUNDS``).  Parity bits compare evaluator makespans against
@@ -433,7 +412,6 @@ def measure_plan_eval() -> dict:
     from dataclasses import replace
 
     from repro.apps import get_application
-    from repro.bench.harness import simulate_many
     from repro.partition.base import PlanConfig, get_strategy
     from repro.sim.plan import PlanEvaluator, compile_plan
 
@@ -451,9 +429,9 @@ def measure_plan_eval() -> dict:
         for f in fractions
     ]
     clear_all()
-    simulate_many(cells)  # warm the planning caches (Glinda, profiles)
+    _engine_runs(cells)  # warm the planning caches (Glinda, profiles)
     t0 = time.perf_counter()
-    reference = simulate_many(cells)
+    reference = _engine_runs(cells)
     simulate_s = time.perf_counter() - t0
 
     strategy = get_strategy("SP-Unified")
@@ -520,7 +498,7 @@ WAVE_FRACTIONS = 8
 
 
 def measure_wave_drain() -> dict:
-    """Synced-plan evaluation: the wave drain vs fused ``simulate_many``.
+    """Synced-plan evaluation: the wave drain vs the executor path.
 
     The ``plan_eval`` section's shape on the search's *other* workload
     class: per-iteration-sync plans whose barriers stop the terminal
@@ -536,7 +514,6 @@ def measure_wave_drain() -> dict:
     from dataclasses import replace
 
     from repro.apps import get_application
-    from repro.bench.harness import simulate_many
     from repro.partition.base import PlanConfig, get_strategy
     from repro.sim.plan import PlanEvaluator, compile_plan, drain_stats
 
@@ -554,9 +531,9 @@ def measure_wave_drain() -> dict:
         for f in fractions
     ]
     clear_all()
-    simulate_many(cells)  # warm the planning caches
+    _engine_runs(cells)  # warm the planning caches
     t0 = time.perf_counter()
-    reference = simulate_many(cells)
+    reference = _engine_runs(cells)
     simulate_s = time.perf_counter() - t0
 
     strategy = get_strategy("SP-Single")
@@ -630,7 +607,6 @@ def measure_sim_core() -> dict:
         "scenario": {"app": "STREAM-Loop", "n": N, "iterations": ITERATIONS},
         **measure_event_core(fast_art),
         **runs,
-        "fused": measure_fused(),
         "plan_eval": measure_plan_eval(),
         "wave_drain": measure_wave_drain(),
     }
@@ -642,7 +618,6 @@ def check(payload: dict) -> None:
     assert payload["fast_vs_oracle_speedup"] >= EVENTS_SPEEDUP_FLOOR, payload
     assert payload["traced_batch_speedup"] >= TRACED_BATCH_FLOOR, payload
     assert payload["parity"], payload
-    assert payload["fused"]["match"], payload["fused"]
     check_plan_eval(payload["plan_eval"])
     check_wave_drain(payload["wave_drain"])
 
@@ -707,7 +682,7 @@ def check_baseline(payload: dict, baseline_path: str) -> list[str]:
 def _format_plan_eval(pe: dict) -> str:
     return (
         f"plan evaluation:      {pe['plans_per_sec']:,.1f} plans/s vs "
-        f"{pe['simulate_cells_per_sec']:,.1f} simulate_many cells/s "
+        f"{pe['simulate_cells_per_sec']:,.1f} engine cells/s "
         f"({pe['plans_vs_simulate_speedup']:.1f}x, floor "
         f"{PLAN_EVAL_FLOOR:g}x; {pe['cells']} candidate cells, "
         f"{pe['instances']} instances each), parity "
@@ -719,7 +694,7 @@ def _format_plan_eval(pe: dict) -> str:
 def _format_wave_drain(wd: dict) -> str:
     return (
         f"wave drain (synced):  {wd['synced_plans_per_sec']:,.1f} plans/s vs "
-        f"{wd['simulate_cells_per_sec']:,.1f} simulate_many cells/s "
+        f"{wd['simulate_cells_per_sec']:,.1f} engine cells/s "
         f"({wd['synced_plans_vs_simulate_speedup']:.1f}x, floor "
         f"{WAVE_DRAIN_FLOOR:g}x; {wd['cells']} candidate cells, "
         f"{wd['instances']} instances / {wd['barriers']} barriers each, "
@@ -731,7 +706,6 @@ def _format_wave_drain(wd: dict) -> str:
 
 
 def _format(payload: dict) -> str:
-    fused = payload["fused"]
     return (
         f"events:               {payload['events']} over "
         f"{payload['resources']} resources, best of {payload['rounds']}\n"
@@ -755,11 +729,6 @@ def _format(payload: dict) -> str:
         f"({payload['run_speedup']:.2f}x, floor {RUN_SPEEDUP_FLOOR:g}x, "
         f"best of {payload['run_rounds']}), parity "
         f"{'ok' if payload['parity'] else 'DIVERGED'}\n"
-        f"fused dispatch:       {fused['fused_cells_per_sec']:,.1f} cells/s "
-        f"vs {fused['per_cell_cells_per_sec']:,.1f} per-cell "
-        f"({fused['fused_vs_per_cell_speedup']:.2f}x, "
-        f"{fused['cells']} cells, {fused['jobs']} jobs), results "
-        f"{'match' if fused['match'] else 'DIVERGED'}\n"
         + _format_plan_eval(payload["plan_eval"]) + "\n"
         + _format_wave_drain(payload["wave_drain"])
     )
@@ -783,13 +752,13 @@ def main(argv: list[str] | None = None) -> int:
                         help=argparse.SUPPRESS)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="replay measurements only (skips the end-to-end/parity/"
-        "fused sections; CI's bench-smoke step)",
+        help="replay measurements only (skips the end-to-end/parity "
+        "sections; CI's bench-smoke step)",
     )
     parser.add_argument(
         "--plan-eval", action="store_true",
-        help="plan-evaluator section only: compiled-plan replays vs fused "
-        f"simulate_many on the same cells, gated at {PLAN_EVAL_FLOOR:g}x "
+        help="plan-evaluator section only: compiled-plan replays vs "
+        f"RuntimeEngine on the same cells, gated at {PLAN_EVAL_FLOOR:g}x "
         "with both parity bits (CI's search-smoke step)",
     )
     parser.add_argument(

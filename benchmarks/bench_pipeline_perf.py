@@ -18,7 +18,7 @@ dispatcher's work split, and its elapsed-time edge over fixed batching
 (``sweep_streaming``), embeds the event-core engine comparison from
 ``bench_event_core.py`` (``sim_core``: events/sec of the slot-dispatched
 fast engine vs the closure oracle, end-to-end run speedup, cross-engine
-artifact byte parity, fused dispatch), plays the measured-ranking
+artifact byte parity, compiled-plan evaluation), plays the measured-ranking
 tournament on the Table III machine (``matchmaking``: tournament
 matches/sec cold and replayed, and the fraction of (class, sync) cells
 where the measured ordering agrees with Table I), and records everything

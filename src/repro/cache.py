@@ -89,7 +89,14 @@ class CacheStats:
         }
 
 
+#: the last :func:`configure` call's setting; ``None`` defers to
+#: ``REPRO_CACHE``
+_ENABLED: bool | None = None
+
+
 def _default_enabled() -> bool:
+    if _ENABLED is not None:
+        return _ENABLED
     return os.environ.get("REPRO_CACHE", "1") not in ("0", "false", "off")
 
 
@@ -198,8 +205,13 @@ def clear_all() -> None:
 
 
 def configure(*, enabled: bool) -> None:
-    """Enable or disable all stores (present and future)."""
-    os.environ["REPRO_CACHE"] = "1" if enabled else "0"
+    """Enable or disable all stores (present and future).
+
+    Overrides ``REPRO_CACHE`` for the rest of the process (and for pool
+    workers forked from it).
+    """
+    global _ENABLED
+    _ENABLED = enabled
     for cache in _CACHES.values():
         cache.enabled = enabled
 

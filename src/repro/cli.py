@@ -46,7 +46,6 @@ from repro.errors import ConfigurationError, PartitioningError
 from repro.core.report import format_analysis, format_match
 from repro.partition import PlanConfig, all_strategy_info, get_strategy
 from repro.runtime.executor import RuntimeConfig
-from repro.sim.engine import DEFAULT_MAX_EVENTS
 from repro.platform import (
     balanced_platform,
     dual_gpu_platform,
@@ -109,12 +108,6 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
              "stay identical to a serial run",
     )
     parser.add_argument(
-        "--fuse", type=int, default=None, nargs="?", const=0, metavar="B",
-        help="with --jobs > 1, dispatch cells to pool workers in fused "
-             "blocks of B (omit B to auto-size); amortizes per-cell "
-             "dispatch cost when cells are cheap",
-    )
-    parser.add_argument(
         "--progress", action="store_true",
         help="print completed/total cell counts to stderr as sweep "
              "results stream in (works with serial, --jobs, and "
@@ -175,7 +168,7 @@ def cmd_rank(args) -> int:
     platform = _platform(args)
     result = run_tournament(
         platform, scale=args.scale, jobs=args.jobs,
-        workers=_workers(args), fuse=args.fuse,
+        workers=_workers(args),
     )
     if args.compare:
         from repro.bench.matchup import compare_to_table, format_matchup
@@ -195,14 +188,10 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return 2
     runtime_config = None
-    if args.max_events is not None or args.plan_eval:
+    if args.max_events is not None:
         runtime_config = RuntimeConfig(
             cpu_threads=config.threads(platform),
-            max_events=(
-                args.max_events if args.max_events is not None
-                else DEFAULT_MAX_EVENTS
-            ),
-            plan_eval=True if args.plan_eval else None,
+            max_events=args.max_events,
         )
     profiler = None
     if args.profile is not None:
@@ -264,7 +253,7 @@ def cmd_experiment(args) -> int:
     platform = _platform(args)
     results = run_experiment(
         args.key, platform, scale=args.scale, jobs=args.jobs,
-        workers=_workers(args), fuse=args.fuse, progress=args.progress,
+        workers=_workers(args), progress=args.progress,
     )
     if args.key in ("fig6", "fig8", "fig10"):
         print(format_ratio_table(
@@ -307,7 +296,7 @@ def cmd_regenerate(args) -> int:
     for key in sorted(EXPERIMENTS):
         results = run_experiment(
             key, platform, scale=args.scale, jobs=args.jobs, workers=workers,
-            fuse=args.fuse, progress=args.progress,
+            progress=args.progress,
         )
         path = write_records(scenario_rows(results), out / f"{key}.csv")
         written.append(path)
@@ -372,7 +361,7 @@ def cmd_search(args) -> int:
         args.app, platform, n=args.n, iterations=args.iterations,
         sync=args.sync, config=config, grid=args.grid, beam=args.beam,
         rounds=args.rounds, jobs=args.jobs, workers=_workers(args),
-        fuse=args.fuse, progress=args.progress, plan_eval=args.plan_eval,
+        progress=args.progress,
     )
     print(format_search(result, top=args.top))
     if args.output:
@@ -468,10 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-events", type=int, default=None, metavar="N",
                    help="event budget per simulator drain (safety valve "
                         "against runaway loops; default 50M)")
-    p.add_argument("--plan-eval", action="store_true",
-                   help="route static plans through the compiled plan "
-                        "evaluator (dynamic plans fall back to the "
-                        "engine, identically; REPRO_PLAN_EVAL overrides)")
     p.add_argument("--profile", default=None, metavar="OUT.pstats",
                    help="cProfile the simulate call and write the stats "
                         "to this file (serial backend)")
@@ -548,11 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidates shown in the report")
     p.add_argument("-o", "--output", default=None, metavar="FILE.json",
                    help="write the SearchResult record to FILE.json")
-    p.add_argument("--plan-eval", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="route static candidates through the compiled "
-                        "plan evaluator (default on; REPRO_PLAN_EVAL "
-                        "overrides)")
     p.add_argument("--min-plans-per-sec", type=float, default=None,
                    metavar="X",
                    help="exit 1 if the search evaluated fewer than X "

@@ -10,11 +10,11 @@ geometric mean of their makespan ratio to the per-scenario winner.
 
 Matches are dispatched through :func:`repro.bench.harness.run_sweep_iter`,
 so a tournament parallelizes exactly like any other sweep (``--jobs``,
-``--workers``, fused batches).  Outcomes are memoized in the
-``"tournament"`` cache store keyed by platform/scenario/strategy
-fingerprints; because named stores ride the :mod:`repro.cache` snapshot
-machinery, a ``--cache-dir`` warm start replays previous tournaments
-without simulating a single match.
+``--workers``).  Outcomes are memoized in the ``"tournament"`` cache
+store keyed by platform/scenario/strategy fingerprints; because named
+stores ride the :mod:`repro.cache` snapshot machinery, a
+``--cache-dir`` warm start replays previous tournaments without
+simulating a single match.
 
 :class:`MeasuredRankingProvider` wraps a (lazily run) tournament in the
 :class:`~repro.core.ranking.RankingProvider` seam, making ``ranker=
@@ -181,13 +181,12 @@ def run_tournament(
     apps: tuple[str, ...] = DEFAULT_APPS,
     jobs: int = 1,
     workers=None,
-    fuse: int | None = None,
     config=None,
     runtime_config=None,
 ) -> TournamentResult:
     """Round-robin every applicable ranked strategy over the scenarios.
 
-    ``jobs``/``workers``/``fuse`` forward to
+    ``jobs``/``workers`` forward to
     :func:`~repro.bench.harness.run_sweep_iter` untouched.  Previously
     played matches are replayed from the ``"tournament"`` memo store (and
     therefore from any ``--cache-dir`` snapshot) instead of re-simulated.
@@ -231,9 +230,7 @@ def run_tournament(
             )
             for scenario, strategy in todo
         ]
-        for index, artifact in run_sweep_iter(
-            cells, jobs=jobs, workers=workers, fuse=fuse
-        ):
+        for index, artifact in run_sweep_iter(cells, jobs=jobs, workers=workers):
             scenario, strategy = todo[index]
             makespan = artifact.makespan_s
             key = _match_key(platform, scenario, strategy)
@@ -321,7 +318,6 @@ class MeasuredRankingProvider(RankingProvider):
         apps: tuple[str, ...] = DEFAULT_APPS,
         jobs: int = 1,
         workers=None,
-        fuse: int | None = None,
     ) -> None:
         if platform is None:
             from repro.platform.presets import shen_icpp15_platform
@@ -332,7 +328,6 @@ class MeasuredRankingProvider(RankingProvider):
         self.apps = apps
         self.jobs = jobs
         self.workers = workers
-        self.fuse = fuse
         self._result: TournamentResult | None = None
 
     def result(self) -> TournamentResult:
@@ -344,7 +339,6 @@ class MeasuredRankingProvider(RankingProvider):
                 apps=self.apps,
                 jobs=self.jobs,
                 workers=self.workers,
-                fuse=self.fuse,
             )
         return self._result
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import abc
 import difflib
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import repro.cache as _cache
+import repro.sim.plan as _plan
 from repro.artifact import RunArtifact
-from repro.errors import ConfigurationError, PartitioningError
+from repro.errors import ConfigurationError, PartitioningError, PlanCompileError
 from repro.platform.topology import Platform
 from repro.runtime.dependence import build_dependences
 from repro.runtime.executor import RuntimeConfig, RuntimeEngine
@@ -144,22 +144,6 @@ class Strategy(abc.ABC):
         return f"<Strategy {self.name}>"
 
 
-def _plan_eval_enabled(config: RuntimeConfig | None = None) -> bool:
-    """Whether this run opts into the compiled evaluator.
-
-    The ``REPRO_PLAN_EVAL`` environment variable, when *set*, wins in
-    both directions (the sweep drivers flip it around pools of
-    already-imported workers, and CI forces the engine path with ``0``);
-    otherwise the :attr:`RuntimeConfig.plan_eval` field — populated by
-    the ``--plan-eval`` CLI flag — decides.  Read per call, not at
-    import.  Mirrors :func:`repro.sim.plan.plan_eval_enabled`.
-    """
-    env = os.environ.get("REPRO_PLAN_EVAL")
-    if env is not None:
-        return env.lower() in ("1", "true", "on")
-    return bool(config is not None and config.plan_eval)
-
-
 def run_plan(
     plan: ExecutionPlan,
     platform: Platform,
@@ -170,6 +154,12 @@ def run_plan(
 ) -> RunArtifact:
     """Execute a plan on the simulated runtime.
 
+    The plan picks its own run path: a static plan compiles and runs on
+    the :class:`~repro.sim.plan.PlanEvaluator`; a plan the compiler
+    rejects (a dynamic scheduler) counts one compile error and runs on
+    the general :class:`~repro.runtime.executor.RuntimeEngine`.  Both
+    paths produce the same artifact bit for bit.
+
     The plan's ``runtime_overrides`` are applied on top of the supplied
     runtime configuration.  The artifact comes back with the plan's
     decision attached; ``cache_baseline`` (a :func:`repro.cache.counters`
@@ -179,21 +169,16 @@ def run_plan(
     if plan.runtime_overrides:
         config = replace(config, **plan.runtime_overrides)
     before = cache_baseline if cache_baseline is not None else _cache.counters()
-    artifact = None
-    if _plan_eval_enabled(config):
-        from repro.errors import PlanCompileError
-        from repro.sim.plan import evaluate_plan, record_compile_error
-
-        try:
-            artifact = evaluate_plan(
-                plan, platform, runtime_config=config, detail=detail
-            )
-        except PlanCompileError:
-            record_compile_error()
-            artifact = None
-    if artifact is None:
+    try:
+        compiled = _plan.compile_plan(plan, platform, config)
+    except PlanCompileError:
+        _plan.record_compile_error()
         engine = RuntimeEngine(platform, config=config)
         artifact = engine.execute(plan.graph, plan.scheduler, detail=detail)
+    else:
+        artifact = _plan.PlanEvaluator(platform, compiled).evaluate(
+            detail=detail
+        )
     return artifact.with_context(
         decision=plan.decision, cache_stats=_cache.stats_delta(before)
     )

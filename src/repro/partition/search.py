@@ -10,13 +10,12 @@ fraction candidates is refined on a halving grid for a few rounds.
 
 Every candidate is one :class:`~repro.bench.harness.SweepCell`, so the
 search streams through the ordinary sweep backends (``jobs`` process
-pools, remote ``workers``) unchanged.  Plan evaluation is on by default
-(``plan_eval=True``; an already-set ``REPRO_PLAN_EVAL`` overrides):
-static candidates run through the compiled-plan evaluator
-(:mod:`repro.sim.plan`) — sync-free plans drain terminally, synced
-plans drain wave by wave — while dynamic candidates compile-fail and
-fall back to the general engine, so the result set is exact either way.
-The fallback counts ride back on the :class:`SearchResult`.
+pools, remote ``workers``) unchanged.  Like every run, static candidates
+run through the compiled-plan evaluator (:mod:`repro.sim.plan`) —
+sync-free plans drain terminally, synced plans drain wave by wave —
+while dynamic candidates compile-fail and fall back to the general
+engine, so the result set is exact either way.  The fallback counts
+ride back on the :class:`SearchResult`.
 
 The search's contract with the seeds: the returned ``best`` is the
 minimum over a superset of the per-strategy default picks, so it is never
@@ -25,7 +24,6 @@ worse than the best single-strategy pick (``baseline``).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -237,9 +235,7 @@ def _evaluate(
     round_no: int,
     jobs: int,
     workers,
-    fuse,
     progress: bool,
-    plan_eval: bool,
 ) -> list[CandidateResult]:
     # deferred: repro.bench pulls in repro.core, which imports this package
     from repro.bench.harness import SweepCell, run_sweep
@@ -264,23 +260,10 @@ def _evaluate(
         )
         for cand in candidates
     ]
-    # an already-set REPRO_PLAN_EVAL wins (same override contract as
-    # run_plan); otherwise the plan_eval argument decides for the sweep
-    # — pool workers inherit the environment either way
-    prior = os.environ.get("REPRO_PLAN_EVAL")
-    os.environ["REPRO_PLAN_EVAL"] = (
-        prior if prior is not None else ("1" if plan_eval else "0")
+    artifacts = run_sweep(
+        cells, jobs=jobs, workers=workers, detail="summary",
+        progress=progress,
     )
-    try:
-        artifacts = run_sweep(
-            cells, jobs=jobs, workers=workers, fuse=fuse,
-            detail="summary", progress=progress,
-        )
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_PLAN_EVAL", None)
-        else:
-            os.environ["REPRO_PLAN_EVAL"] = prior
     return [
         CandidateResult(
             candidate=cand,
@@ -306,20 +289,15 @@ def search_plan(
     rounds: int = 2,
     jobs: int = 1,
     workers=None,
-    fuse=None,
     progress: bool = False,
-    plan_eval: bool = True,
 ) -> SearchResult:
     """Search (strategy × split ratio × chunking) for one scenario.
 
     ``grid`` sets the coarse fraction resolution (points in [0, 1]);
     ``beam`` how many best fraction candidates each refinement round
     expands; ``rounds`` how many halving refinement rounds follow the
-    coarse sweep.  ``jobs``/``workers``/``fuse`` pass straight through to
-    :func:`~repro.bench.harness.run_sweep`.  ``plan_eval`` routes static
-    candidates through the compiled-plan evaluator (the default; an
-    already-set ``REPRO_PLAN_EVAL`` environment variable overrides it in
-    both directions).
+    coarse sweep.  ``jobs``/``workers`` pass straight through to
+    :func:`~repro.bench.harness.run_sweep`.
     """
     if grid < 2:
         raise PartitioningError(f"grid={grid} needs at least 2 points")
@@ -347,8 +325,7 @@ def search_plan(
             cands, app, platform,
             n=n, iterations=iterations, sync=sync,
             base_config=base_config, round_no=round_no,
-            jobs=jobs, workers=workers, fuse=fuse, progress=progress,
-            plan_eval=plan_eval,
+            jobs=jobs, workers=workers, progress=progress,
         )
         evaluated.extend(results)
         return results

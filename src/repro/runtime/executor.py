@@ -211,15 +211,6 @@ class RuntimeConfig:
         :class:`~repro.errors.SimulationError` that names this knob (and
         the CLI ``--max-events`` flag); raise it for legitimately huge
         simulations instead of editing the engine.
-    plan_eval:
-        Route static plans through the compiled
-        :class:`~repro.sim.plan.PlanEvaluator` (dynamic plans always
-        fall back to this engine, identically).  ``None`` means "not
-        requested" — the ``REPRO_PLAN_EVAL`` environment variable, when
-        set, overrides this field in both directions.  Populated by the
-        ``--plan-eval`` CLI flag; consulted only by
-        :func:`repro.partition.base.run_plan`, never by the engine
-        itself.
     """
 
     cpu_threads: int | None = None
@@ -230,7 +221,6 @@ class RuntimeConfig:
     barrier_invalidates_devices: bool = True
     barrier_overhead_s: float = 11e-3
     max_events: int = DEFAULT_MAX_EVENTS
-    plan_eval: bool | None = None
 
 
 #: Compatibility alias: the historical result type.  One simulated run now
@@ -361,10 +351,11 @@ class _Run:
         #: so sharing is value-identical to recomputing.
         self._regions_cache: dict[tuple, list] = {}
         self._duration_cache: dict[tuple, float] = {}
-        #: prebound completion methods — occupations carry ``(method, arg)``
-        #: tuples instead of a fresh closure each
+        #: prebound completion method — occupations carry ``(method, arg)``
+        #: tuples instead of a fresh closure each.  It references the run
+        #: itself, so :meth:`go` drops it once the run is over: a finished
+        #: run is then freed by refcount, not left for a gen-2 collection
         self._complete_cb = self._complete_compute
-        self._transfer_cb = self._transfer_done
 
     # -- helpers --------------------------------------------------------------
 
@@ -411,6 +402,7 @@ class _Run:
             if self.remaining[inst.instance_id] == 0:
                 self.ready.append(inst)
         self._pump()
+        self._dispatched()
         self.sim.run(max_events=self.config.max_events)
         if len(self.done) != len(self.graph.instances):
             stuck = [
@@ -423,7 +415,12 @@ class _Run:
         if self.config.final_flush:
             self._final_flush()
             self.sim.run(max_events=self.config.max_events)
+        # break the run -> bound method -> run cycle
+        self._complete_cb = None
         return self._result(detail)
+
+    def _dispatched(self) -> None:
+        """Hook: the initial dispatch wave has been pumped."""
 
     def _pump(self) -> None:
         """Dispatch ready work; safe against reentrant completion events."""

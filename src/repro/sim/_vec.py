@@ -35,6 +35,7 @@ query falls back to the pure-Python path.
 from __future__ import annotations
 
 import os
+import weakref
 from typing import TYPE_CHECKING
 
 try:  # pragma: no cover - exercised via the REPRO_NO_NUMPY CI job
@@ -182,7 +183,9 @@ class VecView:
         self.device_codes = np.array(store.device_codes, dtype=np.intp)
         self.direction_codes = np.array(store.direction_codes, dtype=np.intp)
         self.sizes = np.array(store.sizes, dtype=np.int64)
-        self._store = store
+        # the store caches this view, so a strong back-reference would be
+        # a cycle keeping both (and every column copy) alive past the run
+        self._store = weakref.proxy(store)
         self._resource_rows: dict[str, object] = {}
         self._category_rows: dict[str, object] = {}
 

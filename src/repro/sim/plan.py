@@ -1,17 +1,19 @@
 """Compiled run-plans: static-plan lowering + vectorized wave/terminal drains.
 
-The schedule×partition search engine (:mod:`repro.partition.search`) needs
-orders of magnitude more simulated runs per second than the general
-event-driven executor delivers, without giving up its exactness.  This
-module gets there in two steps:
+Every static plan runs here: :func:`repro.partition.base.run_plan`
+compiles each plan it is given and falls back to the general
+event-driven executor only when compilation fails.  The
+schedule×partition search (:mod:`repro.partition.search`) needs many
+more simulated runs per second than that executor delivers, without
+giving up its exactness.  This module gets there in two steps:
 
 * :func:`compile_plan` lowers one static :class:`ExecutionPlan` into a
   :class:`CompiledPlan` of flat per-instance arrays — compute durations
   (signature-memoized roofline arithmetic), statically-known resource ids,
   and eager-writeback flags.  Plans that cannot be lowered (dynamic
   scheduler, unpinned instances) raise
-  :class:`~repro.errors.PlanCompileError` and callers fall back to the
-  general engine.
+  :class:`~repro.errors.PlanCompileError` and ``run_plan`` falls back to
+  the general engine.
 
 * :class:`PlanEvaluator` runs the compiled plan through the **real**
   engine — ``_EvalRun`` subclasses the executor's ``_Run``, so memory
@@ -96,13 +98,12 @@ rung bit-identical to the one below it by construction.
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
 
 from repro.artifact import RunArtifact, check_detail
-from repro.errors import PlanCompileError, SimulationError
+from repro.errors import PlanCompileError
 from repro.platform.topology import HOST_SPACE, Platform
 from repro.runtime.executor import RuntimeConfig, _Run
 from repro.runtime.schedulers.base import StaticScheduler
@@ -141,15 +142,6 @@ def reset_drain_stats() -> None:
 def record_compile_error() -> None:
     """Count one :class:`~repro.errors.PlanCompileError` engine fallback."""
     _STATS["compile_errors"] += 1
-
-
-def plan_eval_enabled() -> bool:
-    """Whether ``run_plan`` should route static plans through the evaluator.
-
-    Read per call (like the engine seam's ``REPRO_NO_FAST_ENGINE``), so
-    tests and the search driver can flip ``REPRO_PLAN_EVAL`` at any point.
-    """
-    return os.environ.get("REPRO_PLAN_EVAL", "0") in ("1", "true", "on")
 
 
 @dataclass(frozen=True)
@@ -441,25 +433,6 @@ def compile_plan(
     )
 
 
-def evaluate_plan(
-    plan,
-    platform: Platform,
-    *,
-    runtime_config: RuntimeConfig | None = None,
-    detail: str = "summary",
-    compiled: CompiledPlan | None = None,
-) -> RunArtifact:
-    """Compile (unless precompiled) and evaluate one plan.
-
-    Raises :class:`~repro.errors.PlanCompileError` for plans the compiler
-    rejects; callers needing a universal entry point catch it and fall
-    back to :class:`~repro.runtime.executor.RuntimeEngine`.
-    """
-    if compiled is None:
-        compiled = compile_plan(plan, platform, runtime_config)
-    return PlanEvaluator(platform, compiled).evaluate(detail=detail)
-
-
 class PlanEvaluator:
     """Evaluates one compiled plan; reusable across calls."""
 
@@ -554,30 +527,11 @@ class _EvalRun(_Run):
 
     # -- engine hooks (exact behavior preserved, counters added) ---------
 
-    def go(self, *, detail: str = "full") -> RunArtifact:
-        # mirrors _Run.go with one extra drain attempt once the initial
-        # dispatch wave has settled (all-host plans never transfer, so
-        # the wire counter alone would never trigger it)
-        self.scheduler.start(self.graph, self._ctx())
-        for inst in self.graph.instances:
-            if self.remaining[inst.instance_id] == 0:
-                self.ready.append(inst)
-        self._pump()
+    def _dispatched(self) -> None:
+        # one drain attempt once the initial dispatch wave has settled
+        # (all-host plans never transfer, so the wire counter alone would
+        # never trigger it)
         self._maybe_drain()
-        self.sim.run(max_events=self.config.max_events)
-        if len(self.done) != len(self.graph.instances):
-            stuck = [
-                i.label() for i in self.graph.instances
-                if i.instance_id not in self.done
-            ]
-            raise SimulationError(
-                f"deadlock: {len(stuck)} instances never ran, "
-                f"e.g. {stuck[:5]}"
-            )
-        if self.config.final_flush:
-            self._final_flush()
-            self.sim.run(max_events=self.config.max_events)
-        return self._result(detail)
 
     def _start_compute(self, inst, resource, space, transfer_total):
         self._res_dispatched[resource.resource_id].append(inst)

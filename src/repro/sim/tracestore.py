@@ -155,7 +155,6 @@ class TraceLane:
     """
 
     __slots__ = (
-        "_store",
         "resource_id",
         "category",
         # constants interned at creation
@@ -193,7 +192,8 @@ class TraceLane:
         device: Any = _MISSING,
         direction: str | None = None,
     ) -> None:
-        self._store = store
+        # no back-reference to ``store``: the store flushes its lanes by
+        # passing itself in, so a finished trace is freed by refcount
         self.resource_id = resource_id
         self.category = category
         self._resource_code = store.resource_pool.intern(resource_id)
@@ -421,12 +421,11 @@ class TraceLane:
 
     # -- flushing --------------------------------------------------------
 
-    def _flush(self) -> None:
-        """Move the staged rows into the store's columns (bulk extends)."""
+    def _flush(self, store: "TraceStore") -> None:
+        """Move the staged rows into ``store``'s columns (bulk extends)."""
         k = len(self.starts)
         if not k:
             return
-        store = self._store
         store.starts.extend(self.starts)
         store.ends.extend(self.ends)
         store.resource_codes.extend(_const_i(self._resource_code, k))
@@ -524,6 +523,8 @@ class TraceStore:
         "_indexed_rows",
         "_max_end",
         "_vec_view",
+        # VecView refers back through a weak proxy (no store <-> view cycle)
+        "__weakref__",
     )
 
     def __init__(self) -> None:
@@ -591,7 +592,7 @@ class TraceStore:
     def _flush_lanes(self) -> None:
         """Flush every staged lane row into the columns (idempotent)."""
         for lane in self._lanes:
-            lane._flush()
+            lane._flush(self)
 
     def _ensure_flushed(self) -> None:
         """Land staged lane rows before any read/index/pickle use."""

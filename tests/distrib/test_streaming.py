@@ -46,6 +46,31 @@ def _pickles(artifacts):
     return [pickle.dumps(a, 5) for a in artifacts]
 
 
+#: ``"path"``: the sentinel file the gated cells wait on (set before the
+#: pool forks its workers)
+_GATE: dict = {}
+
+_REAL_RUN_CELL = harness._run_cell
+
+#: deadlock guard only: a sweep that never streams leaves the gated
+#: cells waiting, and they fail after this long instead of hanging
+_GATE_TIMEOUT_S = 60.0
+
+
+def _gated_run_cell(cell, detail):
+    """Pool-side cell runner: three-iteration cells wait for the sentinel."""
+    if cell.iterations == 3:
+        deadline = time.monotonic() + _GATE_TIMEOUT_S
+        while not _GATE["path"].exists():
+            if time.monotonic() > deadline:
+                raise RuntimeError(
+                    "gate never released: no pair was yielded while "
+                    "later cells were still waiting to start"
+                )
+            time.sleep(0.005)
+    return _REAL_RUN_CELL(cell, detail)
+
+
 class TestStreamedParity:
     """Streamed-then-reordered output is byte-identical to buffered."""
 
@@ -100,15 +125,27 @@ class TestFirstCellBeforeLast:
         list(iterator)
         assert len(executed) == len(cells)
 
-    def test_jobs_arrivals_are_spread(self, paper_platform):
-        cells = _cells(paper_platform) * 2  # 10 cells over 2 workers
+    def test_jobs_arrivals_are_spread(
+        self, paper_platform, monkeypatch, tmp_path
+    ):
+        early = _cells(paper_platform)
+        late = [replace(cell, iterations=3) for cell in early]
+        cells = early + late  # 10 cells over 2 workers
         _warm_serial(cells)
-        arrivals = []
-        for _ in run_sweep_iter(cells, jobs=2):
-            arrivals.append(time.monotonic())
-        # a collect-then-yield implementation would deliver every pair in
-        # one burst; genuine streaming spreads arrivals over the rounds
-        assert arrivals[-1] - arrivals[0] > 0.05
+        gate = tmp_path / "release"
+        monkeypatch.setattr(harness, "_run_cell", _gated_run_cell)
+        monkeypatch.setitem(_GATE, "path", gate)
+        # the late cells cannot start until the sentinel exists, and the
+        # sentinel is written only once the first pair has arrived: a
+        # collect-then-yield implementation never releases it, so its
+        # late cells hit the deadlock guard and the sweep raises
+        indices = []
+        for index, _ in run_sweep_iter(cells, jobs=2):
+            if not indices:
+                gate.touch()
+            indices.append(index)
+        assert indices[0] < len(early)
+        assert sorted(indices) == list(range(len(cells)))
 
     def test_distributed_arrivals_follow_cell_cadence(self, paper_platform):
         cells = _cells(paper_platform)

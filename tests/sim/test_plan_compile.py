@@ -12,9 +12,9 @@ import pytest
 
 from repro.apps import get_application
 from repro.errors import PlanCompileError
-from repro.partition.base import PlanConfig, get_strategy
+from repro.partition.base import get_strategy
 from repro.sim import _vec
-from repro.sim.plan import compile_plan, plan_eval_enabled
+from repro.sim.plan import compile_plan
 from repro.sim.tracestore import TraceStore
 
 
@@ -66,14 +66,6 @@ class TestCompileGates:
             if compiled.writeback_flags[inst.instance_id]:
                 rid = compiled.resource_ids[inst.instance_id]
                 assert not rid.startswith(host)
-
-    def test_env_seam(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLAN_EVAL", raising=False)
-        assert not plan_eval_enabled()
-        monkeypatch.setenv("REPRO_PLAN_EVAL", "1")
-        assert plan_eval_enabled()
-        monkeypatch.setenv("REPRO_PLAN_EVAL", "0")
-        assert not plan_eval_enabled()
 
 
 class TestChainBounds:

@@ -184,3 +184,19 @@ class TestGating:
         second = store.vec_view(force=True)
         assert second is not first
         assert second.n == len(store)
+
+    def test_cached_view_does_not_keep_the_store_alive(self):
+        import gc
+        import weakref
+
+        trace = random_trace(0, n=30)
+        trace.store.vec_view(force=True)
+        store = weakref.ref(trace.store)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del trace
+            assert store() is None  # freed by refcount: no view cycle
+        finally:
+            if was_enabled:
+                gc.enable()

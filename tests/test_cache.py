@@ -100,7 +100,7 @@ class TestRegistry:
             cache.get_or_compute("k", lambda: calls.append(1) or 1)
             cache.get_or_compute("k", lambda: calls.append(1) or 1)
             assert len(calls) == 2
-            # newly created stores inherit the setting (via REPRO_CACHE)
+            # newly created stores inherit the setting
             assert get_cache("reg-c").enabled is False
         finally:
             configure(enabled=True)

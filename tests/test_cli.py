@@ -125,19 +125,47 @@ class TestRun:
              "--threads", "3"]
         ) == 0
 
-    def test_plan_eval_flag_routes_through_evaluator(self, capsys):
-        """--plan-eval flips the evaluator on and preserves the output."""
+    @pytest.mark.parametrize("strategy, counter", [
+        ("SP-Single", "evaluations"),
+        ("DP-Perf", "compile_errors"),
+    ])
+    def test_plan_routes_itself(self, capsys, strategy, counter):
+        """Static plans run on the evaluator, dynamic ones on the engine.
+
+        No flag picks the path: the run moves exactly one drain counter,
+        and prints the makespan a directly called engine produces.
+        """
+        from dataclasses import replace
+
+        from repro.apps.registry import get_application
+        from repro.partition.base import PlanConfig, get_strategy
+        from repro.platform import shen_icpp15_platform
+        from repro.runtime.executor import RuntimeConfig, RuntimeEngine
         from repro.sim.plan import drain_stats
 
-        argv = ["run", "HotSpot", "-n", "1024", "-i", "4", "--sync",
-                "--strategy", "SP-Single", "--detail", "summary"]
-        assert main(argv) == 0
-        ref = capsys.readouterr().out
+        before = drain_stats()
+        assert main(["run", "HotSpot", "-n", "1024", "-i", "4", "--sync",
+                     "--strategy", strategy, "--detail", "summary"]) == 0
+        after = drain_stats()
+        moved = {
+            key: after[key] - before[key]
+            for key in ("evaluations", "compile_errors")
+        }
+        assert moved == {"evaluations": 0, "compile_errors": 0, counter: 1}
 
-        before = drain_stats()["evaluations"]
-        assert main(argv + ["--plan-eval"]) == 0
-        assert capsys.readouterr().out == ref
-        assert drain_stats()["evaluations"] > before
+        platform = shen_icpp15_platform()
+        program = get_application("HotSpot").program(
+            1024, iterations=4, sync=True
+        )
+        plan = get_strategy(strategy).plan(program, platform, PlanConfig())
+        config = replace(
+            RuntimeConfig(cpu_threads=PlanConfig().threads(platform)),
+            **plan.runtime_overrides,
+        )
+        oracle = RuntimeEngine(platform, config=config).execute(
+            plan.graph, plan.scheduler, detail="summary"
+        )
+        assert f"{oracle.makespan_ms:.2f} ms" in capsys.readouterr().out
 
     def test_strategy_typo_suggests_and_exits_cleanly(self, capsys):
         assert main(
@@ -210,17 +238,6 @@ class TestExperiment:
         assert main(["experiment", "fig5", "--scale", "0.02"]) == 0
         out = capsys.readouterr().out
         assert "Figure 5" in out and "SP-Single" in out
-
-    def test_fused_jobs_match_per_cell(self, capsys, tmp_path):
-        per_cell = tmp_path / "per_cell.json"
-        fused = tmp_path / "fused.json"
-        assert main(["experiment", "fig5", "--scale", "0.02", "--jobs", "2",
-                     "-o", str(per_cell)]) == 0
-        assert main(["experiment", "fig5", "--scale", "0.02", "--jobs", "2",
-                     "--fuse", "-o", str(fused)]) == 0
-        assert json.loads(fused.read_text()) == json.loads(
-            per_cell.read_text()
-        )
 
     def test_ratio_experiment(self, capsys):
         assert main(["experiment", "fig8", "--scale", "0.02"]) == 0
