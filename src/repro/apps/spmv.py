@@ -13,10 +13,13 @@ carries a work-prefix (row-pointer) array, so:
   volume is its nonzero count, not its row count.
 
 Row lengths are generated deterministically from the problem size, so the
-same ``n`` always yields the same matrix structure.
+same ``n`` always yields the same matrix structure; they are drawn once per
+``n`` and shared read-only by every later program and array build.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -38,6 +41,7 @@ CPU_MEM_EFF = 0.35       # irregular access pattern
 GPU_MEM_EFF = 0.45
 
 
+@functools.lru_cache(maxsize=4)
 def row_lengths(n: int) -> np.ndarray:
     """Deterministic heavy-tailed row lengths for an ``n``-row matrix.
 
@@ -46,6 +50,9 @@ def row_lengths(n: int) -> np.ndarray:
     rows are orders of magnitude heavier than the last.  This is the
     regime where index-balanced partitioning fails and ref [9]'s
     work-balanced partitioning matters.
+
+    Memoized per ``n`` (the draw and sort dominate a paper-size program
+    build); the shared array is read-only, so no caller can corrupt it.
     """
     rng = np.random.default_rng(0xC5A + n)
     raw = rng.pareto(TAIL_ALPHA, n) + 1.0
@@ -53,7 +60,9 @@ def row_lengths(n: int) -> np.ndarray:
         np.round(raw * MEAN_NNZ_PER_ROW / np.mean(raw)).astype(np.int64),
         n,
     )
-    return -np.sort(-np.maximum(lengths, 1))
+    lengths = -np.sort(-np.maximum(lengths, 1))
+    lengths.setflags(write=False)
+    return lengths
 
 
 class SpMV(Application):

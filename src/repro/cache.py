@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Hashable
 
+import numpy as np
+
 __all__ = [
     "CacheStats",
     "MemoCache",
@@ -282,8 +284,9 @@ def preload_snapshot(snapshot: dict[str, dict[Hashable, Any]]) -> None:
 # The version stamp guards the pickle layout itself: snapshots written by
 # an incompatible build are ignored wholesale, never half-loaded.
 
-#: bump when the snapshot payload layout (or any pickled value type) changes
-SNAPSHOT_VERSION = 1
+#: bump when the snapshot payload layout, any pickled value type, or the
+#: fingerprint encoding changes (2: length-framed raw-buffer digests)
+SNAPSHOT_VERSION = 2
 
 _SNAPSHOT_FORMAT = "repro-cache-snapshot"
 
@@ -345,15 +348,46 @@ def load_snapshot(path: str | os.PathLike) -> int:
 # to the underlying model — there is no explicit invalidation protocol.
 
 
+def _feed(h, part: object) -> None:
+    """Feed ``part`` to ``h`` as one self-delimiting record.
+
+    Every record opens with a one-byte tag and an 8-byte length: a tuple
+    records its item count and then each item in turn, a buffer its byte
+    count and its raw bytes, anything else the length and text of its
+    ``repr``.  The framing makes the encoding unambiguous — two different
+    part lists never feed identical byte streams — and lets megabyte
+    buffers reach the hash without being copied or escaped to text.
+    """
+    if isinstance(part, tuple):
+        h.update(b"T" + len(part).to_bytes(8, "little"))
+        for item in part:
+            _feed(h, item)
+        return
+    if isinstance(part, (bytes, bytearray, memoryview)):
+        data = memoryview(part)
+        h.update(b"B" + data.nbytes.to_bytes(8, "little"))
+    else:
+        data = repr(part).encode()
+        h.update(b"R" + len(data).to_bytes(8, "little"))
+    h.update(data)
+
+
 def _digest(*parts: object) -> str:
     h = hashlib.sha1()
-    for part in parts:
-        if isinstance(part, bytes):
-            h.update(part)
-        else:
-            h.update(repr(part).encode())
-        h.update(b"\x00")
+    _feed(h, parts)
     return h.hexdigest()[:16]
+
+
+def _array_part(arr: "np.ndarray | None") -> tuple | None:
+    """An array as a ``(dtype, shape, raw buffer)`` digest part.
+
+    The buffer is a zero-copy view of the C-contiguous array; dtype and
+    shape ride along so equal bytes of a different layout never match.
+    """
+    if arr is None:
+        return None
+    arr = np.ascontiguousarray(arr)
+    return (arr.dtype.str, arr.shape, memoryview(arr))
 
 
 def device_fingerprint(device) -> str:
@@ -376,7 +410,8 @@ def kernel_fingerprint(kernel) -> str:
 
     The functional body (``impl``/``params``) is excluded — it never
     affects simulated timing.  PREFIX extents and imbalanced work weights
-    do affect probe sizes and work units, so their raw bytes are folded in.
+    do affect probe sizes and work units, so their raw bytes are folded in
+    (hashed in place, never copied or ``repr``-escaped).
     """
     access_parts = []
     for acc in kernel.accesses:
@@ -388,7 +423,11 @@ def kernel_fingerprint(kernel) -> str:
             acc.pattern.value,
             acc.elems_per_index,
             acc.halo,
-            None if acc.prefix is None else acc.prefix.tobytes(),
+            _array_part(acc.prefix),
         ))
-    work = None if kernel.work_prefix is None else kernel.work_prefix.tobytes()
-    return _digest(kernel.name, kernel.cost, tuple(access_parts), work)
+    return _digest(
+        kernel.name,
+        kernel.cost,
+        tuple(access_parts),
+        _array_part(kernel.work_prefix),
+    )

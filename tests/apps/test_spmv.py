@@ -28,6 +28,25 @@ class TestStructure:
         assert (np.diff(a) <= 0).all()  # degree-ordered
         assert (a >= 1).all()
 
+    def test_programs_share_one_row_lengths_draw(self, app):
+        row_lengths.cache_clear()
+        app.program(256)
+        app.program(256)
+        info = row_lengths.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert row_lengths(256) is row_lengths(256)
+
+    def test_shared_row_lengths_are_read_only(self):
+        lengths = row_lengths(256)
+        assert not lengths.flags.writeable
+        with pytest.raises(ValueError):
+            lengths[0] = 0
+
+    def test_arrays_stay_writable(self, app):
+        arrays = app.arrays(256)
+        assert all(a.flags.writeable for a in arrays.values())
+        arrays["row_ptr"][0] = 0  # the caller owns its copy
+
     def test_kernel_carries_work_prefix(self, app):
         program = app.program(256)
         kernel = program.kernels[0]

@@ -6,7 +6,9 @@ completed cell arrives before the last one finishes), and collecting its
 output byte-for-byte — including when a worker dies after streaming part
 of a batch (re-dispatch must dedupe the already-streamed cells) and when
 the pool is skewed (the adaptive dispatcher must shift cells to the fast
-worker and beat fixed batching on elapsed time).
+worker, and beat fixed batching on makespan under a scripted latency
+model).  Ordering is proven with sentinel gates, never wall-clock
+thresholds.
 """
 
 import pickle
@@ -16,6 +18,7 @@ from dataclasses import replace
 import repro.bench.harness as harness
 from repro.bench.harness import SweepCell, run_sweep, run_sweep_iter
 from repro.distrib import DistributedSweepExecutor, WorkerServer, last_sweep_reports
+from repro.distrib.executor import _AdaptiveBatcher
 
 from tests.distrib.test_distributed import _cells, _spawn_worker, _warm_serial
 
@@ -147,20 +150,32 @@ class TestFirstCellBeforeLast:
         assert indices[0] < len(early)
         assert sorted(indices) == list(range(len(cells)))
 
-    def test_distributed_arrivals_follow_cell_cadence(self, paper_platform):
-        cells = _cells(paper_platform)
+    def test_distributed_arrivals_follow_cell_cadence(
+        self, paper_platform, monkeypatch, tmp_path
+    ):
+        early = _cells(paper_platform)
+        cells = early + [replace(early[-1], iterations=3)]
         _warm_serial(cells)
-        server = WorkerServer(delay_per_cell=0.05).start()
+        gate = tmp_path / "release"
+        monkeypatch.setattr(harness, "_run_cell", _gated_run_cell)
+        monkeypatch.setitem(_GATE, "path", gate)
+        # the whole sweep is one batch on one in-process worker: its last
+        # cell cannot start until the sentinel exists, and the sentinel
+        # is written only once the first pair has arrived — a worker (or
+        # client) that buffers the batch never releases it, so the last
+        # cell hits the deadlock guard and the sweep raises
+        server = WorkerServer().start()
         try:
-            arrivals = []
-            for _ in run_sweep_iter(cells, workers=[server.endpoint]):
-                arrivals.append(time.monotonic())
+            indices = []
+            for index, _ in run_sweep_iter(
+                cells, workers=[server.endpoint], batch_size=len(cells)
+            ):
+                if not indices:
+                    gate.touch()
+                indices.append(index)
         finally:
             server.stop()
-        assert len(arrivals) == len(cells)
-        # 0.05 s per cell: the first result must land at least 3 cell
-        # delays before the last one (buffered batches would land at once)
-        assert arrivals[-1] - arrivals[0] >= 0.15
+        assert indices == list(range(len(cells)))
 
 
 class TestMidStreamDeath:
@@ -223,6 +238,43 @@ class TestMidStreamDeath:
         assert len(dead) == 1 and dead[0].endpoint == e1
 
 
+def _replay_pull_dispatch(cell_s, n_cells, **executor_kwargs):
+    """Replay the executor's pull loop against scripted cell latencies.
+
+    Worker ``w`` streams one cell per ``cell_s[w]`` seconds.  Whenever a
+    worker is idle it takes ``min(next_size(), pending)`` cells from the
+    queue, feeds each cell's latency to its own batch controller (the
+    executor's, configured from ``executor_kwargs``), and is idle again
+    at the batch's end; ties go to the lower worker index.  Returns the
+    makespan and each worker's dispatch sizes.
+    """
+    executor = DistributedSweepExecutor(
+        [("127.0.0.1", 1 + w) for w in range(len(cell_s))], **executor_kwargs
+    )
+    controllers = [
+        _AdaptiveBatcher(
+            target_quantum_s=executor.target_quantum_s,
+            alpha=executor.ewma_alpha,
+            probe=executor.probe_batch,
+            max_dispatch=executor.max_dispatch,
+            fixed=executor.batch_size,
+        )
+        for _ in cell_s
+    ]
+    free_at = [0.0] * len(cell_s)
+    dispatches = [[] for _ in cell_s]
+    pending = n_cells
+    while pending:
+        w = min(range(len(cell_s)), key=lambda i: (free_at[i], i))
+        size = min(controllers[w].next_size(), pending)
+        pending -= size
+        dispatches[w].append(size)
+        for _ in range(size):
+            controllers[w].observe(cell_s[w])
+        free_at[w] += size * cell_s[w]
+    return max(free_at), dispatches
+
+
 class TestAdaptiveSkewedPool:
     """One delayed worker: adaptive sizing shifts work and beats fixed."""
 
@@ -233,21 +285,18 @@ class TestAdaptiveSkewedPool:
             executor = DistributedSweepExecutor(
                 [fast.endpoint, slow.endpoint], **executor_kwargs
             )
-            start = time.monotonic()
             results = executor.run(cells)
-            elapsed = time.monotonic() - start
         finally:
             fast.stop()
             slow.stop()
         by_endpoint = {r.endpoint: r for r in executor.reports}
-        return results, elapsed, by_endpoint[fast.endpoint], \
-            by_endpoint[slow.endpoint]
+        return results, by_endpoint[fast.endpoint], by_endpoint[slow.endpoint]
 
     def test_adaptive_beats_fixed_batching(self, paper_platform):
         cells = _light_cells(paper_platform)
         serial = _warm_serial(cells)
 
-        adaptive, adaptive_s, fast, slow = self._run_pool(cells, 0.08)
+        adaptive, fast, slow = self._run_pool(cells, 0.08)
         # the fast worker must take strictly more of the queue
         assert fast.cells > slow.cells
         assert fast.cells + slow.cells == len(cells)
@@ -256,11 +305,27 @@ class TestAdaptiveSkewedPool:
         assert fast.ewma_cell_s is not None and slow.ewma_cell_s is not None
         assert slow.ewma_cell_s > fast.ewma_cell_s
 
-        # fixed half-the-sweep batches strand half the cells behind the
-        # slow worker's injected delays; adaptive must finish sooner
-        fixed, fixed_s, _, _ = self._run_pool(
-            cells, 0.08, batch_size=len(cells) // 2
+        half = len(cells) // 2
+        fixed, *reports = self._run_pool(cells, 0.08, batch_size=half)
+        # a pinned size is never adapted: every dispatch is exactly half
+        # the sweep, whichever worker took it
+        assert sum(r.cells for r in reports) == len(cells)
+        for report in reports:
+            assert report.cells == half * report.batches
+            assert report.largest_batch in (0, half)
+
+        # the makespan claim, on the same injected delay and a scripted
+        # few-ms cell: fixed batching strands half the sweep behind the
+        # slow worker, adaptive sizing gives it only its probe cell
+        cell_s = (0.004, 0.004 + 0.08)
+        adaptive_s, adaptive_plan = _replay_pull_dispatch(cell_s, len(cells))
+        fixed_s, fixed_plan = _replay_pull_dispatch(
+            cell_s, len(cells), batch_size=half
         )
+        assert adaptive_plan == [[1, len(cells) - 2], [1]]
+        assert fixed_plan == [[half], [half]]
+        assert adaptive_s == cell_s[1]
+        assert fixed_s == half * cell_s[1]
         assert adaptive_s < fixed_s
 
         # two in-process workers race on this process's global cache
