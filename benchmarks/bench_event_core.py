@@ -9,30 +9,16 @@ with) through both simulation engines and records events/sec:
   :class:`~repro.sim.resources.SimResource` objects, one ``occupy()`` per
   occupation with a lazy tuple label and a meta dict, one ``Event``
   dataclass plus one closure per completion, one trace row per occupation;
-* ``oracle_untraced`` — the same oracle loop on ``trace=None`` resources
-  (untraced replay is a capability this PR added to ``SimResource``, so
-  this symmetric comparison isolates the engine loop itself);
-* ``fast_traced`` — the production executor path:
-  :class:`~repro.sim.fast_engine.FastSimulator` inlining ``_K_FINISH``
-  completions over traced resources;
-* ``fast_traced_lane`` — the executor's shape after the staged-ingestion
-  PR: per-event ``occupy()`` completions writing through pre-interned
+* ``fast_traced`` — :class:`~repro.sim.fast_engine.FastSimulator`
+  inlining ``_K_FINISH`` completions over the same traced resources;
+* ``fast_traced_lane`` — the runtime executor's shape: per-event
+  ``occupy()`` completions writing through pre-interned
   :class:`~repro.sim.tracestore.TraceLane` staging buffers (constants
-  interned once per stream, no per-row ``dict(meta)`` copy);
-* ``traced_batch`` — the bulk traced intake: one ``occupy_stream`` per
-  resource, one heap event + one cumsum + one block-extend per whole
-  stream (timed including the lane flush);
-* ``fast_lane`` — the headline: ``FastSimulator.replay_lane`` draining the
-  same per-resource duration streams as untraced bulk lanes, no per-event
-  allocation at all.
+  interned once per stream, no per-row ``dict(meta)`` copy).
 
-The headline ``fast_vs_oracle_speedup`` compares ``fast_lane`` against
-``oracle_traced`` — the new engine's replay intake vs what the seed could
-do with the same schedule — and must clear ``EVENTS_SPEEDUP_FLOOR``; the
-traced production path's ``traced_batch_speedup`` must clear
-``TRACED_BATCH_FLOOR``.  The symmetric/traced ratios are recorded
-alongside so the numbers' composition stays honest: part engine loop,
-part shed tracing machinery, part batching.
+``traced_speedup`` and ``traced_lane_speedup`` are the fast variants'
+ratios over ``oracle_traced``; ``traced_lane_speedup`` is the replay
+ratio ``--check-baseline`` guards.
 
 Also measures end-to-end wall clock of the full scenario under both
 engines (``run_speedup``), verifies their artifacts pickle byte-identical
@@ -82,14 +68,6 @@ ROUNDS = 10
 #: engine rounds interleaved so frequency drift hits both sides alike
 RUN_ROUNDS = 5
 
-#: acceptance floor: fast-engine lane replay vs the seed's replay path
-EVENTS_SPEEDUP_FLOOR = 10.0
-
-#: acceptance floor: bulk traced intake (``occupy_stream`` + lane flush)
-#: vs the seed's traced replay path — the tentpole "traced production
-#: path >= 3x over the oracle" criterion
-TRACED_BATCH_FLOOR = 3.0
-
 #: acceptance floor: the fast engine must not lose end to end — the
 #: full ``repro run`` scenario under the fast engine must be at least as
 #: fast (best-of-rounds) as under the oracle
@@ -108,11 +86,7 @@ WAVE_DRAIN_FLOOR = 5.0
 #: metrics ``--check-baseline`` verifies, all same-process ratios: raw
 #: events/sec shifts with runner hardware, but two engine variants timed
 #: back-to-back on the same box regress together unless the code did
-BASELINE_RATIOS = (
-    "fast_vs_oracle_speedup",
-    "traced_lane_speedup",
-    "traced_batch_speedup",
-)
+BASELINE_RATIOS = ("traced_lane_speedup",)
 
 #: nested-section ratios ``--check-baseline`` also verifies: section
 #: key -> ratio key within that section (skipped when either file's
@@ -161,17 +135,16 @@ def _streams(artifact) -> dict[str, list[tuple[float, str]]]:
     return streams
 
 
-def _replay_engine(streams, *, fast: bool, traced: bool) -> float:
+def _replay_engine(streams, *, fast: bool) -> float:
     """Replay every stream through SimResources on one engine; seconds.
 
     This is the seed system's replay shape: one ``occupy()`` per
     occupation — lazy tuple label, per-occupation meta dict, trace row —
     with completions dispatched by the engine (closures on the oracle,
-    inlined ``_K_FINISH`` events on the fast engine).  ``traced=False``
-    runs the same loop on ``trace=None`` resources.
+    inlined ``_K_FINISH`` events on the fast engine).
     """
     sim = FastSimulator() if fast else Simulator()
-    trace = ExecutionTrace() if traced else None
+    trace = ExecutionTrace()
     t0 = time.perf_counter()
     for rid, occs in streams.items():
         res = SimResource(sim, rid, trace)
@@ -189,10 +162,9 @@ def _replay_engine(streams, *, fast: bool, traced: bool) -> float:
 def _replay_engine_lane(streams, *, fast: bool) -> float:
     """Per-event traced replay through staging lanes; seconds.
 
-    Same event count and row content as ``_replay_engine(traced=True)``
-    but rows go through pre-interned :class:`TraceLane` buffers — the
-    runtime executor's shape after the staged-ingestion PR.  The final
-    lane flush is inside the timed region.
+    Same event count and row content as :func:`_replay_engine` but rows
+    go through pre-interned :class:`TraceLane` buffers — the runtime
+    executor's shape.  The final lane flush is inside the timed region.
     """
     sim = FastSimulator() if fast else Simulator()
     trace = ExecutionTrace()
@@ -219,44 +191,6 @@ def _replay_engine_lane(streams, *, fast: bool) -> float:
     return time.perf_counter() - t0
 
 
-def _replay_stream_batches(streams) -> float:
-    """Bulk traced replay: one ``occupy_stream`` per resource; seconds.
-
-    The bulk traced intake: a whole resource stream costs one heap
-    event, one cumulative-bounds computation, and one columnar
-    block-extend (plus the final flush, timed).  Rows carry the same
-    formatted labels as the per-event variants; per-row metadata dicts
-    are deliberately absent — shedding them is what the bulk API is for.
-    Each scenario resource's stream is single-category, so one lane per
-    resource suffices.
-    """
-    durations = {
-        rid: [d for d, _ in occs] for rid, occs in streams.items()
-    }
-    sim = FastSimulator()
-    trace = ExecutionTrace()
-    t0 = time.perf_counter()
-    for rid, occs in streams.items():
-        res = SimResource(sim, rid, trace)
-        lane = trace.lane(rid, occs[0][1], "replay {} {}")
-        ds = durations[rid]
-        res.occupy_stream(ds, lane, str_arg=rid, args=range(len(ds)))
-    sim.run()
-    trace.store._ensure_flushed()
-    return time.perf_counter() - t0
-
-
-def _replay_lanes(streams) -> float:
-    """Replay the same streams as fast-engine bulk lanes; seconds."""
-    durations = [[d for d, _ in occs] for occs in streams.values()]
-    sim = FastSimulator()
-    t0 = time.perf_counter()
-    for lane in durations:
-        sim.replay_lane(lane)
-    sim.run()
-    return time.perf_counter() - t0
-
-
 def _best_of(fn, *args, **kwargs) -> float:
     """Minimum of ``ROUNDS`` timed calls, after one untimed warm-up."""
     fn(*args, **kwargs)
@@ -270,33 +204,21 @@ def measure_event_core(artifact=None) -> dict:
     streams = _streams(artifact)
     events = sum(len(occs) for occs in streams.values())
 
-    oracle_traced = _best_of(_replay_engine, streams, fast=False, traced=True)
-    oracle_untraced = _best_of(_replay_engine, streams, fast=False, traced=False)
-    fast_traced = _best_of(_replay_engine, streams, fast=True, traced=True)
+    oracle_traced = _best_of(_replay_engine, streams, fast=False)
+    fast_traced = _best_of(_replay_engine, streams, fast=True)
     fast_traced_lane = _best_of(_replay_engine_lane, streams, fast=True)
-    traced_batch = _best_of(_replay_stream_batches, streams)
-    fast_lane = _best_of(_replay_lanes, streams)
 
     return {
         "events": events,
         "resources": len(streams),
         "rounds": ROUNDS,
         "oracle_traced_events_per_sec": events / oracle_traced,
-        "oracle_untraced_events_per_sec": events / oracle_untraced,
         "fast_traced_events_per_sec": events / fast_traced,
         "fast_traced_lane_events_per_sec": events / fast_traced_lane,
-        "traced_batch_events_per_sec": events / traced_batch,
-        "events_per_sec": events / fast_lane,
-        # headline: the fast engine's replay intake vs the seed's only
-        # replay path (engine loop + shed tracing machinery combined)
-        "fast_vs_oracle_speedup": oracle_traced / fast_lane,
-        # honesty splits: engine loop alone, and the traced production
-        # path in its three shapes (per-row record, per-event lanes,
-        # bulk occupy_stream)
-        "untraced_engine_speedup": oracle_untraced / fast_lane,
+        # the traced path in its two shapes: per-row record, per-event
+        # lanes
         "traced_speedup": oracle_traced / fast_traced,
         "traced_lane_speedup": oracle_traced / fast_traced_lane,
-        "traced_batch_speedup": oracle_traced / traced_batch,
     }
 
 
@@ -615,8 +537,6 @@ def measure_sim_core() -> dict:
 
 def check(payload: dict) -> None:
     assert payload["events"] > 1000, payload
-    assert payload["fast_vs_oracle_speedup"] >= EVENTS_SPEEDUP_FLOOR, payload
-    assert payload["traced_batch_speedup"] >= TRACED_BATCH_FLOOR, payload
     assert payload["parity"], payload
     check_plan_eval(payload["plan_eval"])
     check_wave_drain(payload["wave_drain"])
@@ -710,20 +630,13 @@ def _format(payload: dict) -> str:
         f"events:               {payload['events']} over "
         f"{payload['resources']} resources, best of {payload['rounds']}\n"
         f"oracle replay:        "
-        f"{payload['oracle_traced_events_per_sec']:,.0f} ev/s traced, "
-        f"{payload['oracle_untraced_events_per_sec']:,.0f} ev/s untraced\n"
+        f"{payload['oracle_traced_events_per_sec']:,.0f} ev/s traced\n"
         f"fast engine:          "
         f"{payload['fast_traced_events_per_sec']:,.0f} ev/s traced, "
-        f"{payload['fast_traced_lane_events_per_sec']:,.0f} ev/s lane-traced, "
-        f"{payload['traced_batch_events_per_sec']:,.0f} ev/s batch-traced, "
-        f"{payload['events_per_sec']:,.0f} ev/s lane replay\n"
-        f"headline speedup:     {payload['fast_vs_oracle_speedup']:9.1f}x "
-        f"(floor {EVENTS_SPEEDUP_FLOOR:g}x; engine loop alone "
-        f"{payload['untraced_engine_speedup']:.1f}x)\n"
-        f"traced path:          {payload['traced_batch_speedup']:9.1f}x "
-        f"batch (floor {TRACED_BATCH_FLOOR:g}x; per-event rows "
-        f"{payload['traced_speedup']:.1f}x, per-event lanes "
-        f"{payload['traced_lane_speedup']:.1f}x)\n"
+        f"{payload['fast_traced_lane_events_per_sec']:,.0f} ev/s lane-traced\n"
+        f"traced path:          {payload['traced_lane_speedup']:9.1f}x "
+        f"per-event lanes (per-event rows "
+        f"{payload['traced_speedup']:.1f}x)\n"
         f"end-to-end run:       {payload['fast_run_s']:.2f} s fast vs "
         f"{payload['oracle_run_s']:.2f} s oracle "
         f"({payload['run_speedup']:.2f}x, floor {RUN_SPEEDUP_FLOOR:g}x, "

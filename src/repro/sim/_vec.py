@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import os
 import weakref
+from array import array
 from typing import TYPE_CHECKING
 
 try:  # pragma: no cover - exercised via the REPRO_NO_NUMPY CI job
@@ -71,22 +72,12 @@ def lane_bounds(t0: float, durations):
     """Cumulative completion bounds of a serial occupation stream.
 
     Returns ``k + 1`` cumulative times ``[t0, t0 + d0, (t0 + d0) + d1,
-    ...]`` — row ``i`` of the stream spans ``bounds[i]`` to
-    ``bounds[i + 1]``.  On the vectorized path this is one
-    ``np.cumsum`` over ``[t0, *durations]`` (an ndarray); with numpy
-    unavailable or ``REPRO_NO_NUMPY=1`` it is the pure-Python
-    sequential chain (an ``array('d')``).  ``cumsum`` is numpy's naive
-    left-to-right recurrence, so both paths produce bit-identical
-    floats: each partial sum *is* the previous occupation's end time,
-    exactly as the per-event engines compute it.
+    ...]`` as an ``array('d')`` — row ``i`` of the stream spans
+    ``bounds[i]`` to ``bounds[i + 1]``.  This is the plain left-to-right
+    recurrence: each partial sum *is* the previous occupation's end
+    time, exactly as the per-event engines compute it, and the scalar
+    fallback of :func:`chain_bounds`.
     """
-    if enabled() and len(durations) >= 1:
-        seed = _np.empty(len(durations) + 1, dtype=_np.float64)
-        seed[0] = t0
-        seed[1:] = durations
-        return _np.cumsum(seed)
-    from array import array
-
     bounds = array("d", (0.0,)) * (len(durations) + 1)
     t = t0
     bounds[0] = t
@@ -109,10 +100,11 @@ def chain_bounds(t0s, duration_rows):
 
     On the vectorized path every chain is a row of one 2-D matrix —
     short rows padded with trailing zeros — drained by a single
-    ``np.cumsum(axis=1)``.  ``cumsum`` is the naive left-to-right
-    recurrence and ``x + 0.0 == x`` for the non-negative times simulated
-    here, so the padding never perturbs the partial sums and both paths
-    stay bit-identical to chained :func:`lane_bounds` calls.
+    ``np.cumsum(axis=1)``.  ``cumsum`` is the same naive left-to-right
+    recurrence as :func:`lane_bounds`, the scalar path (numpy
+    unavailable or ``REPRO_NO_NUMPY=1``), and ``x + 0.0 == x`` for the
+    non-negative times simulated here, so the padding never perturbs the
+    partial sums and both paths are bit-identical.
     """
     if enabled() and duration_rows:
         width = max(len(row) for row in duration_rows)

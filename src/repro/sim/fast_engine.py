@@ -25,29 +25,13 @@ small integer ``kind`` inside an inlined run loop:
     re-schedules the next completion *inline* — no per-event closure, no
     Event allocation, and tuple comparisons run at C level in the heap.
     This is the executor's hot path.
-``_K_LANE``
-    A bulk replay lane (:meth:`replay_lane`): a preloaded array of
-    occupation durations drained without tracing, callbacks, or
-    per-occupation allocations.  This is the intake for occupancy-replay
-    and schedule-search workloads, and what
-    ``benchmarks/bench_event_core.py`` measures.
-``_K_FINISH_BATCH``
-    A whole occupation *stream* scheduled through
-    :meth:`schedule_stream` (the engine half of
-    ``SimResource.occupy_stream``): ``a0`` is the resource, ``a1`` a
-    ``_StreamBlock`` carrying precomputed cumulative bounds for a run of
-    back-to-back rows.  One heap event and one sequence number cover the
-    entire run; at fire time the resource block-extends its trace lane
-    and frees itself.  This is the traced production path's bulk drain.
 ``_K_CALL``
     A closure-free deferred call scheduled through
     :meth:`schedule_call`: ``a0`` is a callable, ``a1`` its single
-    argument, and the loop simply runs ``a0(a1)``.  The cross-resource
-    generalization of ``_K_FINISH_BATCH``: where a stream event commits
-    one resource's run of rows, a call event anchors an entire
-    barrier-epoch *wave* whose rows were committed analytically by the
-    plan evaluator's wave drain — one heap tuple and one sequence
-    number stand in for every completion of the epoch.  Not
+    argument, and the loop simply runs ``a0(a1)``.  A call event
+    anchors an entire barrier-epoch *wave* whose rows were committed
+    analytically by the plan evaluator's wave drain — one heap tuple and
+    one sequence number stand in for every completion of the epoch.  Not
     cancellable (no handle is allocated), which is what keeps it free.
 
 Because both engines drive the *same* executor and
@@ -81,9 +65,7 @@ from repro.sim.engine import (
 #: event kinds (the ``kind`` slot of a heap tuple)
 _K_CALLBACK = 0
 _K_FINISH = 1
-_K_LANE = 2
-_K_FINISH_BATCH = 3
-_K_CALL = 4
+_K_CALL = 2
 
 
 def fast_engine_enabled() -> bool:
@@ -152,26 +134,6 @@ class FastEvent:
             sim._note_cancel()
 
 
-class _ReplayLane:
-    """A preloaded FIFO of occupation durations drained by the engine."""
-
-    __slots__ = ("durations", "head")
-
-    def __init__(self, durations: list[float]) -> None:
-        self.durations = durations
-        self.head = 0
-
-    @property
-    def remaining(self) -> int:
-        """Occupations not yet started (excludes the one in flight)."""
-        return len(self.durations) - self.head
-
-    @property
-    def drained(self) -> bool:
-        """Whether every occupation has been started (none left queued)."""
-        return self.head >= len(self.durations)
-
-
 class FastSimulator:
     """Drop-in fast engine: same contract as the oracle ``Simulator``."""
 
@@ -183,7 +145,7 @@ class FastSimulator:
     #: :meth:`schedule_completion` instead of a per-event closure
     inline_completions = True
 
-    __slots__ = ("_now", "_heap", "_seq", "_running", "_cancelled", "_mixed",
+    __slots__ = ("_now", "_heap", "_seq", "_running", "_cancelled",
                  "_compact_min", "compactions")
 
     def __init__(self, *, compact_min: int | None = None) -> None:
@@ -199,9 +161,6 @@ class FastSimulator:
             self._COMPACT_MIN if compact_min is None else compact_min
         )
         self.compactions = 0  # heap rebuilds performed so far
-        #: True once any non-lane event was scheduled; gates the
-        #: specialized pure-lane drain loop
-        self._mixed = False
 
     @property
     def compact_min(self) -> int:
@@ -237,7 +196,6 @@ class FastSimulator:
         self._seq = seq + 1
         handle = FastEvent(time, priority, seq, callback, self)
         heapq.heappush(self._heap, (time, priority, seq, _K_CALLBACK, handle, None))
-        self._mixed = True
         return handle
 
     def after(
@@ -265,23 +223,6 @@ class FastSimulator:
             self._heap,
             (time, PRIORITY_COMPLETION, seq, _K_FINISH, resource, occupation),
         )
-        self._mixed = True
-
-    def schedule_stream(self, time: float, resource, block) -> None:
-        """Schedule a whole occupation stream's single completion event.
-
-        The engine half of ``SimResource.occupy_stream``: one heap tuple
-        and one sequence number for the entire run of rows, matching the
-        single ``sim.at`` closure the oracle engine schedules — so event
-        interleaving stays identical across engines.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(
-            self._heap,
-            (time, PRIORITY_COMPLETION, seq, _K_FINISH_BATCH, resource, block),
-        )
-        self._mixed = True
 
     def schedule_call(
         self,
@@ -306,30 +247,6 @@ class FastSimulator:
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, priority, seq, _K_CALL, fn, arg))
-        self._mixed = True
-
-    def replay_lane(self, durations: list[float]) -> _ReplayLane:
-        """Preload a serial resource's occupation stream for bulk replay.
-
-        The lane starts immediately: its first completion is scheduled at
-        ``now + durations[0]`` and each completion schedules the next.
-        Lanes are untraced and callback-free — the allocation-free intake
-        for occupancy replay and schedule-search workloads.
-        """
-        for d in durations:
-            if d < 0:
-                raise SimulationError("lane durations must be >= 0")
-        lane = _ReplayLane(durations)
-        if durations:
-            lane.head = 1
-            seq = self._seq
-            self._seq = seq + 1
-            heapq.heappush(
-                self._heap,
-                (self._now + durations[0], PRIORITY_COMPLETION, seq, _K_LANE,
-                 lane, None),
-            )
-        return lane
 
     def _note_cancel(self) -> None:
         """Track a cancellation; compact once cancelled slots dominate."""
@@ -361,141 +278,78 @@ class FastSimulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         try:
-            if until is None and not self._mixed:
-                return self._drain_lanes(max_events)
-            return self._run_general(until, max_events)
-        finally:
-            self._running = False
-
-    def _drain_lanes(self, max_events: int) -> float:
-        """Specialized loop for a heap holding only replay lanes.
-
-        Lane events carry no callbacks, so nothing can observe ``now`` or
-        schedule new work mid-drain; the loop keeps the sequence counter
-        and clock in locals and writes them back once.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        push = heapq.heappush
-        seq = self._seq
-        t = self._now
-        processed = 0
-        try:
+            heap = self._heap
+            pop = heapq.heappop
+            push = heapq.heappush
+            processed = 0
             while heap:
-                ev = pop(heap)
-                if processed >= max_events:
-                    push(heap, ev)  # leave the unprocessed event queued
-                    raise max_events_error(max_events)
-                processed += 1
+                ev = heap[0]
                 t = ev[0]
-                lane = ev[4]
-                durations = lane.durations
-                head = lane.head
-                if head < len(durations):
-                    lane.head = head + 1
-                    push(heap, (t + durations[head], 0, seq, _K_LANE, lane, None))
-                    seq += 1
-        finally:
-            self._seq = seq
-            self._now = t
-        return t
-
-    def _run_general(self, until: float | None, max_events: int) -> float:
-        heap = self._heap
-        pop = heapq.heappop
-        push = heapq.heappush
-        processed = 0
-        while heap:
-            ev = heap[0]
-            t = ev[0]
-            if until is not None and t > until:
-                break
-            pop(heap)
-            kind = ev[3]
-            if kind == _K_FINISH:
-                # inlined SimResource completion: advance the FIFO,
-                # record the row, re-arm the next occupation — the body
-                # of SimResource._finish/_start without the call chain
-                # (the shared-semantics contract is enforced by the
-                # property and differential suites)
-                if processed >= max_events:
-                    raise max_events_error(max_events)
-                processed += 1
-                self._now = t
-                res = ev[4]
-                queue = res._queue
-                if queue:
-                    nxt = queue.popleft()
-                    end = t + nxt.duration
-                    if not queue:
-                        res._busy_until = end
-                    record = res._record
-                    if record is not None:
+                if until is not None and t > until:
+                    break
+                pop(heap)
+                kind = ev[3]
+                if kind == _K_FINISH:
+                    # inlined SimResource completion: advance the FIFO,
+                    # record the row, re-arm the next occupation — the body
+                    # of SimResource._finish/_start without the call chain
+                    # (the shared-semantics contract is enforced by the
+                    # property and differential suites)
+                    if processed >= max_events:
+                        raise max_events_error(max_events)
+                    processed += 1
+                    self._now = t
+                    res = ev[4]
+                    queue = res._queue
+                    if queue:
+                        nxt = queue.popleft()
+                        end = t + nxt.duration
+                        if not queue:
+                            res._busy_until = end
                         lane = nxt.lane
                         if lane is not None:
                             lane.append(t, end, nxt.args, nxt.size,
                                         nxt.kernel, nxt.meta)
                         else:
-                            record(res.resource_id, nxt.label, nxt.category,
-                                   t, end, nxt.meta, nxt.own_meta)
-                    seq = self._seq
-                    self._seq = seq + 1
-                    push(heap, (end, PRIORITY_COMPLETION, seq, _K_FINISH,
-                                res, nxt))
-                else:
-                    res._busy = False
-                    res._busy_until = t
-                cb = ev[5].on_complete
-                if cb is not None:
-                    if type(cb) is tuple:
-                        cb[0](cb[1])
+                            res._record(res.resource_id, nxt.label, nxt.category,
+                                        t, end, nxt.meta, nxt.own_meta)
+                        seq = self._seq
+                        self._seq = seq + 1
+                        push(heap, (end, PRIORITY_COMPLETION, seq, _K_FINISH,
+                                    res, nxt))
                     else:
-                        cb()
-            elif kind == _K_CALLBACK:
-                handle = ev[4]
-                if handle.cancelled:
-                    if self._cancelled > 0:
-                        self._cancelled -= 1
-                    continue
-                if processed >= max_events:
-                    raise max_events_error(max_events)
-                processed += 1
-                # firing: detach so a late cancel() cannot skew ``pending``
-                handle._sim = None
-                self._now = t
-                handle.callback()
-            elif kind == _K_FINISH_BATCH:
-                # one event for a whole occupation stream: the resource
-                # block-extends its trace lane and frees itself (or hands
-                # over to work that queued up during the run)
-                if processed >= max_events:
-                    raise max_events_error(max_events)
-                processed += 1
-                self._now = t
-                ev[4]._finish_stream(ev[5])
-            elif kind == _K_CALL:
-                # one event for a whole barrier-epoch wave: the plan
-                # evaluator committed every row analytically and left a
-                # single anchor to advance the clock and continue
-                if processed >= max_events:
-                    raise max_events_error(max_events)
-                processed += 1
-                self._now = t
-                ev[4](ev[5])
-            else:  # _K_LANE
-                if processed >= max_events:
-                    raise max_events_error(max_events)
-                processed += 1
-                self._now = t
-                lane = ev[4]
-                durations = lane.durations
-                head = lane.head
-                if head < len(durations):
-                    lane.head = head + 1
-                    seq = self._seq
-                    self._seq = seq + 1
-                    push(heap, (t + durations[head], PRIORITY_COMPLETION,
-                                seq, _K_LANE, lane, None))
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+                        res._busy = False
+                        res._busy_until = t
+                    cb = ev[5].on_complete
+                    if cb is not None:
+                        if type(cb) is tuple:
+                            cb[0](cb[1])
+                        else:
+                            cb()
+                elif kind == _K_CALLBACK:
+                    handle = ev[4]
+                    if handle.cancelled:
+                        if self._cancelled > 0:
+                            self._cancelled -= 1
+                        continue
+                    if processed >= max_events:
+                        raise max_events_error(max_events)
+                    processed += 1
+                    # firing: detach so a late cancel() cannot skew ``pending``
+                    handle._sim = None
+                    self._now = t
+                    handle.callback()
+                else:  # _K_CALL
+                    # one event for a whole barrier-epoch wave: the plan
+                    # evaluator committed every row analytically and left a
+                    # single anchor to advance the clock and continue
+                    if processed >= max_events:
+                        raise max_events_error(max_events)
+                    processed += 1
+                    self._now = t
+                    ev[4](ev[5])
+            if until is not None and until > self._now:
+                self._now = until
+            return self._now
+        finally:
+            self._running = False

@@ -23,10 +23,9 @@ giving up its exactness.  This module gets there in two steps:
   provably a set of per-resource back-to-back chains, the remaining
   completions are computed in one shot with
   :func:`repro.sim._vec.chain_bounds` (one 2-D ``cumsum`` across all
-  resource frontiers — the cross-resource generalization of the
-  single-stream ``_K_FINISH_BATCH`` path) instead of thousands of heap
-  events.  Under ``REPRO_NO_NUMPY=1`` the bounds come from the
-  bit-identical sequential fallback.
+  resource frontiers) instead of thousands of heap events.  Under
+  ``REPRO_NO_NUMPY=1`` the bounds come from the bit-identical
+  sequential fallback.
 
 Exactness contract (enforced by
 ``tests/integration/test_plan_eval_differential.py``): in ``summary``
@@ -85,8 +84,7 @@ bounded by one :func:`repro.sim._vec.chain_bounds` cumsum across all
 resources, rows bulk-appended with ``extend_rows``, and the modeled
 barrier's completion — ``max(last compute + quiescence overhead, flush
 lands, write-back lands)`` — scheduled as one closure-free anchor event
-(``FastSimulator.schedule_call``, the cross-resource generalization of
-the ``_K_FINISH_BATCH`` stream commit).  Wave after wave then drains
+(``FastSimulator.schedule_call``).  Wave after wave then drains
 through anchor recursion, O(1) events per barrier epoch.
 
 When any gate fails the wave simply does not commit and the run

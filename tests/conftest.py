@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.platform import (
@@ -15,6 +17,27 @@ from repro.platform import (
 from repro.runtime.graph import KernelInvocation, Program
 from repro.runtime.kernels import AccessPattern, AccessSpec, Kernel, KernelCostModel
 from repro.runtime.regions import AccessMode, ArraySpec
+
+
+#: fallback switches a CI tier sets for the whole test run
+FALLBACK_SWITCHES = ("REPRO_NO_NUMPY", "REPRO_NO_FAST_ENGINE")
+
+
+@pytest.fixture(autouse=True)
+def fallback_switches_unchanged():
+    """Fail any test that leaves a fallback switch other than it found it.
+
+    The ``REPRO_NO_NUMPY=1`` and ``REPRO_NO_FAST_ENGINE=1`` tiers set
+    these once for the whole run; a test that deletes or flips one would
+    silently run every later test off the tier it belongs to.  Autouse
+    fixtures set up first and tear down last, so ``monkeypatch`` has
+    already undone its changes when this checks.
+    """
+    before = {name: os.environ.get(name) for name in FALLBACK_SWITCHES}
+    yield
+    after = {name: os.environ.get(name) for name in FALLBACK_SWITCHES}
+    if after != before:
+        pytest.fail(f"fallback switches changed: {before} -> {after}")
 
 
 @pytest.fixture

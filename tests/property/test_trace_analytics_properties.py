@@ -94,10 +94,10 @@ def test_python_path_matches_record_scan(trace):
     store = trace.store
     records = list(trace)
     oracle = record_scan_aggregates(records)
-    import os
-
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
+    # MonkeyPatch.context restores the variable's prior value on exit, so
+    # a run-wide REPRO_NO_NUMPY=1 (the fallback CI tier) survives
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_NO_NUMPY", "1")
         assert {
             rid: store.busy_time(rid) for rid in store.resource_ids_seen()
         } == oracle["busy"]
@@ -105,18 +105,14 @@ def test_python_path_matches_record_scan(trace):
         assert store.transfer_time_by_direction() == oracle["transfer"]
         assert store.elements_by_device() == oracle["elements"]
         assert store.ratio_by_kernel() == oracle["ratio"]
-    finally:
-        del os.environ["REPRO_NO_NUMPY"]
 
 
 @settings(max_examples=150, deadline=None)
 @given(traces())
 def test_vec_path_matches_python_path(trace):
     store = trace.store
-    import os
-
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_NO_NUMPY", "1")
         python = {
             "busy": {
                 rid: store.busy_time(rid) for rid in store.resource_ids_seen()
@@ -129,28 +125,27 @@ def test_vec_path_matches_python_path(trace):
             "overlap": compute_overlap_fraction(store),
             "stats": analyze_trace(store),
         }
-    finally:
-        del os.environ["REPRO_NO_NUMPY"]
 
-    vec = store.vec_view(force=True)
-    assert vec is not None
-    assert {
-        rid: vec.busy_time(rid) for rid in store.resource_ids_seen()
-    } == python["busy"]
-    assert vec.busy_by_resource() == python["by_resource"]
-    assert vec.transfer_time_by_direction() == python["transfer"]
-    assert vec.elements_by_kind("compute") == python["elements"]
-    assert vec.instance_count_by_kind() == python["instances"]
-    assert vec.ratio_by_kernel("compute") == python["ratio"]
+    # the vectorized side needs the fallback switch cleared (numpy is
+    # installed wherever this module runs), even in the REPRO_NO_NUMPY=1
+    # tier; the context puts the run's value back afterwards
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("REPRO_NO_NUMPY", raising=False)
+        vec = store.vec_view(force=True)
+        assert vec is not None
+        assert {
+            rid: vec.busy_time(rid) for rid in store.resource_ids_seen()
+        } == python["busy"]
+        assert vec.busy_by_resource() == python["by_resource"]
+        assert vec.transfer_time_by_direction() == python["transfer"]
+        assert vec.elements_by_kind("compute") == python["elements"]
+        assert vec.instance_count_by_kind() == python["instances"]
+        assert vec.ratio_by_kernel("compute") == python["ratio"]
 
-    # route analyze/overlap through the view regardless of store size
-    old_min = _vec.VEC_MIN_ROWS
-    _vec.VEC_MIN_ROWS = 0
-    try:
+        # route analyze/overlap through the view regardless of store size
+        mp.setattr(_vec, "VEC_MIN_ROWS", 0)
         assert compute_overlap_fraction(store) == python["overlap"]
         assert analyze_trace(store) == python["stats"]
-    finally:
-        _vec.VEC_MIN_ROWS = old_min
 
 
 @settings(max_examples=60, deadline=None)

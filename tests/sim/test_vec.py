@@ -25,6 +25,16 @@ def no_numpy_env(monkeypatch):
     monkeypatch.setenv("REPRO_NO_NUMPY", "1")
 
 
+@pytest.fixture
+def numpy_env(monkeypatch):
+    """Clear ``REPRO_NO_NUMPY`` so the vectorized side can build.
+
+    numpy is installed wherever this module runs, including the
+    ``REPRO_NO_NUMPY=1`` test tier, whose setting is restored afterwards.
+    """
+    monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
+
+
 def force_vec(store):
     view = store.vec_view(force=True)
     assert view is not None, "vec view must build when numpy is available"
@@ -102,7 +112,7 @@ class TestVecMatchesPython:
 
 
 class TestEdgeCases:
-    def test_empty_store(self):
+    def test_empty_store(self, numpy_env):
         store = TraceStore()
         assert store.vec_view(force=True) is not None or not _vec.enabled()
         vec = force_vec(store)
@@ -112,7 +122,7 @@ class TestEdgeCases:
         assert vec.ratio_by_kernel("compute") == {}
         assert compute_overlap_fraction(store) == 0.0
 
-    def test_single_row(self):
+    def test_single_row(self, numpy_env):
         store = TraceStore()
         store.record("a", "t", "compute", 0.5, 1.5, {"size": 3, "device_kind": "cpu"})
         vec = force_vec(store)
@@ -171,12 +181,12 @@ class TestGating:
         assert store.vec_view() is None
         assert store.vec_view(force=True) is None
 
-    def test_small_stores_stay_scalar(self):
+    def test_small_stores_stay_scalar(self, numpy_env):
         store = random_trace(0, n=20).store
         assert store.vec_view() is None  # under VEC_MIN_ROWS
         assert store.vec_view(force=True) is not None
 
-    def test_view_invalidated_by_append(self):
+    def test_view_invalidated_by_append(self, numpy_env):
         store = random_trace(0, n=30).store
         first = store.vec_view(force=True)
         assert store.vec_view(force=True) is first  # cached per row count
@@ -185,7 +195,7 @@ class TestGating:
         assert second is not first
         assert second.n == len(store)
 
-    def test_cached_view_does_not_keep_the_store_alive(self):
+    def test_cached_view_does_not_keep_the_store_alive(self, numpy_env):
         import gc
         import weakref
 
